@@ -7,7 +7,9 @@
 //! into contiguous chunks and evaluated on scoped `std::thread` workers
 //! (one per available core, capped by item count). Results always come
 //! back in input order, matching rayon's indexed-iterator guarantee, and
-//! worker panics propagate to the caller like rayon's do.
+//! worker panics propagate to the caller like rayon's do. Each worker
+//! runs under the caller's telemetry span context, so spans it opens
+//! nest under the span that called `map`.
 //!
 //! Unlike rayon there is no work-stealing pool: each `map` call spawns
 //! its own scoped workers. For the coarse-grained parallelism in this
@@ -36,28 +38,41 @@ where
     R: Send,
     F: Fn(usize, &'a T) -> R + Sync,
 {
+    map_slice_on(threads_for(items.len()), items, f)
+}
+
+/// [`map_slice`] on exactly `threads` workers (inline when 1).
+fn map_slice_on<'a, T, R, F>(threads: usize, items: &'a [T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &'a T) -> R + Sync,
+{
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let threads = threads_for(n);
     if threads == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = n.div_ceil(threads);
     let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
+    let ctx = telemetry::SpanContext::current();
     std::thread::scope(|s| {
         let f = &f;
+        let ctx = &ctx;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let lo = t * chunk;
+                let lo = (t * chunk).min(n);
                 let hi = ((t + 1) * chunk).min(n);
                 s.spawn(move || {
-                    items[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, item)| f(lo + i, item))
-                        .collect::<Vec<R>>()
+                    ctx.scope(|| {
+                        items[lo..hi]
+                            .iter()
+                            .enumerate()
+                            .map(|(i, item)| f(lo + i, item))
+                            .collect::<Vec<R>>()
+                    })
                 })
             })
             .collect();
@@ -78,11 +93,20 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
+    map_owned_on(threads_for(items.len()), items, f)
+}
+
+/// [`map_owned`] on exactly `threads` workers (inline when 1).
+fn map_owned_on<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
-    let threads = threads_for(n);
     if threads == 1 {
         return items
             .into_iter()
@@ -103,16 +127,20 @@ where
         rest = tail;
     }
     let mut parts: Vec<Vec<R>> = Vec::with_capacity(chunks.len());
+    let ctx = telemetry::SpanContext::current();
     std::thread::scope(|s| {
         let f = &f;
+        let ctx = &ctx;
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|(lo, part)| {
                 s.spawn(move || {
-                    part.into_iter()
-                        .enumerate()
-                        .map(|(i, item)| f(lo + i, item))
-                        .collect::<Vec<R>>()
+                    ctx.scope(|| {
+                        part.into_iter()
+                            .enumerate()
+                            .map(|(i, item)| f(lo + i, item))
+                            .collect::<Vec<R>>()
+                    })
                 })
             })
             .collect();
@@ -334,6 +362,39 @@ mod tests {
         {
             assert!(distinct.len() > 1, "expected work on more than one thread");
         }
+    }
+
+    #[test]
+    fn forced_workers_run_under_the_callers_span_context() {
+        // Forces several workers whatever the host's core count, so the
+        // span tree across threads is checked on one core too.
+        let _outer = telemetry::SpanGuard::enter("outer", Vec::new());
+        let _inner = telemetry::SpanGuard::enter("inner", Vec::new());
+        let caller = std::thread::current().id();
+        let expected = telemetry::SpanContext::current();
+        let probe = || {
+            (
+                std::thread::current().id(),
+                telemetry::SpanContext::current(),
+            )
+        };
+        let items = [0u8; 8];
+        let borrowed = crate::map_slice_on(4, &items, |_, _| probe());
+        let owned = crate::map_owned_on(4, items.to_vec(), |_, _| probe());
+        for (thread, ctx) in borrowed.into_iter().chain(owned) {
+            assert_ne!(thread, caller, "a forced worker ran inline");
+            assert_eq!(ctx, expected, "a worker lost the caller's span ancestry");
+        }
+        assert_eq!(telemetry::SpanContext::current(), expected);
+    }
+
+    #[test]
+    fn more_workers_than_full_chunks_keep_order() {
+        // 5 items on 4 workers: chunks of 2 leave the last worker empty.
+        let xs = [10usize, 20, 30, 40, 50];
+        let want: Vec<usize> = xs.iter().enumerate().map(|(i, x)| i + x).collect();
+        assert_eq!(crate::map_slice_on(4, &xs, |i, x| i + x), want);
+        assert_eq!(crate::map_owned_on(4, xs.to_vec(), |i, x| i + x), want);
     }
 
     #[test]

@@ -15,13 +15,20 @@
 //! refill penalty applies; meanwhile the front end chews through wrong-path
 //! instructions, polluting the I-cache (and, when `issue_wrong_path` is
 //! set, the data hierarchy too — SimpleScalar's wrong-path issue mode).
+//!
+//! Cycles on which no stage changes any state (a miss stall: nothing
+//! completes, issues or dispatches) are not ticked one by one. The clock
+//! jumps straight to the next cycle at which something can happen — the
+//! front end's resume cycle or the completion of an in-flight instruction
+//! — so every counter comes out exactly as a tick-by-tick loop would
+//! leave it (DESIGN.md §8).
 
 use crate::bpred::{self, BranchPredictor};
 use crate::cache::{Cache, Hierarchy, LatencyModel};
 use crate::config::CpuConfig;
 use crate::prefetch::{self, Prefetcher, PrefetcherKind};
 use crate::tlb::Tlb;
-use crate::trace::{Inst, InstSource, OpClass};
+use crate::trace::{Inst, InstSource, OpClass, MAX_DEP_DISTANCE};
 use std::collections::VecDeque;
 
 /// Execution latencies per op class (SimpleScalar defaults).
@@ -102,11 +109,12 @@ impl FuBusy {
 /// One RUU entry.
 #[derive(Debug, Clone, Copy)]
 struct RuuEntry {
-    seq: u64,
+    /// This instruction's slot in the completion ring.
+    slot: usize,
     op: OpClass,
-    /// Producer sequence numbers (u64::MAX = no dependency).
-    prod1: u64,
-    prod2: u64,
+    /// Producers' completion-ring slots ([`NO_PRODUCER`] = no dependency).
+    prod1: usize,
+    prod2: usize,
     addr: u64,
     issued: bool,
     /// Completion cycle once issued (u64::MAX before).
@@ -115,7 +123,7 @@ struct RuuEntry {
 }
 
 /// Counters reported by one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Total simulated cycles.
     pub cycles: u64,
@@ -202,13 +210,18 @@ pub struct Core {
     bpred: Box<dyn BranchPredictor + Send>,
     ruu: VecDeque<RuuEntry>,
     lsq_used: u32,
-    /// Completion cycles ring, indexed by seq % RING.
+    /// Completion cycle per dispatched instruction, indexed by ring slot
+    /// (sequence number modulo the power-of-two length). Long enough that
+    /// no instruction in the RUU, nor any producer it can name, shares a
+    /// slot with a younger instruction.
     done_ring: Vec<u64>,
+    /// Ring slot the next dispatched instruction takes.
+    next_slot: usize,
     cycle: u64,
     next_seq: u64,
     committed: u64,
-    /// Fetch blocked until the branch with this seq resolves.
-    blocked_on_branch: Option<u64>,
+    /// Fetch blocked until the branch in this ring slot resolves.
+    blocked_on_branch: Option<usize>,
     /// Front end may not fetch before this cycle (I-miss or refill).
     fetch_resume_at: u64,
     /// I-cache line of the most recent fetch (new line => new access).
@@ -218,8 +231,8 @@ pub struct Core {
     dpref: Option<Box<dyn Prefetcher + Send>>,
 }
 
-/// Size of the completion ring. Must exceed RUU size + max dep distance.
-const RING: usize = 1024;
+/// Producer slot of an operand with no in-trace producer.
+const NO_PRODUCER: usize = usize::MAX;
 /// Front-end refill penalty after a mispredict resolves, in cycles.
 const REFILL_PENALTY: u64 = 3;
 /// Maximum unissued RUU entries the scheduler examines per cycle.
@@ -228,6 +241,11 @@ const ISSUE_SCAN: usize = 64;
 impl Core {
     /// Build a core for a configuration.
     pub fn new(config: CpuConfig) -> Self {
+        // A consumer names producers up to MAX_DEP_DISTANCE back, and at
+        // most ruu_size instructions are in flight after the oldest one.
+        let ring = usize::from(MAX_DEP_DISTANCE)
+            .saturating_add(usize::try_from(config.ruu_size).unwrap_or(usize::MAX))
+            .next_power_of_two();
         Core {
             latency: LatencyModel::default(),
             icache: Hierarchy::new(config.l1i),
@@ -239,7 +257,8 @@ impl Core {
             bpred: bpred::build(config.bpred),
             ruu: VecDeque::with_capacity(config.ruu_size as usize),
             lsq_used: 0,
-            done_ring: vec![0; RING],
+            done_ring: vec![0; ring],
+            next_slot: 0,
             cycle: 0,
             next_seq: 0,
             committed: 0,
@@ -266,23 +285,58 @@ impl Core {
     /// Run `n_insts` architectural instructions from any instruction
     /// source and drain the pipeline. Returns the collected statistics.
     pub fn run<S: InstSource>(&mut self, gen: &mut S, n_insts: u64) -> PipelineStats {
+        self.advance(gen, n_insts);
+        self.stats()
+    }
+
+    /// The cycle loop behind [`Core::run`]. Returns the number of loop
+    /// iterations, which is below the number of simulated cycles by the
+    /// idle cycles skipped.
+    ///
+    /// A cycle is idle when commit retires nothing, issue neither issues
+    /// nor resolves the blocking branch, and the front end is stalled
+    /// (I-miss or refill), blocked by a full RUU/LSQ, or drained. Every
+    /// later cycle then behaves identically until the front end's resume
+    /// cycle or an in-flight instruction's completion, so the clock jumps
+    /// there directly. Wrong-path fetch draws from the source and touches
+    /// the I-cache, so a cycle that does it is never idle.
+    fn advance<S: InstSource>(&mut self, gen: &mut S, n_insts: u64) -> u64 {
         let mut remaining = n_insts;
         let mut pending: Option<Inst> = None;
         let mut fu = FuBusy::default();
         // Hard safety valve: no realistic config needs more than ~1000
         // cycles per instruction.
         let max_cycles = n_insts.saturating_mul(1000).max(10_000);
+        let mut iterations = 0;
 
         while (remaining > 0 || pending.is_some() || !self.ruu.is_empty())
             && self.cycle < max_cycles
         {
+            iterations += 1;
             fu.reset();
-            self.commit();
-            self.issue(&mut fu);
-            self.fetch_dispatch(gen, &mut remaining, &mut pending, &mut fu);
-            self.cycle += 1;
+            let retired = self.commit();
+            let issued = self.issue(&mut fu);
+            let fetched = self.fetch_dispatch(gen, &mut remaining, &mut pending);
+            self.cycle = if retired || issued || fetched {
+                self.cycle + 1
+            } else {
+                self.next_event().min(max_cycles)
+            };
         }
-        self.stats()
+        iterations
+    }
+
+    /// The first cycle after the current one at which an idle pipeline
+    /// can change state: the front end's resume cycle or the completion
+    /// of an issued, uncommitted instruction. Completions cover the RUU
+    /// head, every producer a waiting instruction needs, and the branch
+    /// fetch is blocked on. `u64::MAX` when nothing is pending.
+    fn next_event(&self) -> u64 {
+        std::iter::once(self.fetch_resume_at)
+            .chain(self.ruu.iter().map(|e| e.done_at))
+            .filter(|&t| t > self.cycle)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Run `warmup` instructions (warming caches, TLBs, and predictor
@@ -322,8 +376,8 @@ impl Core {
     }
 
     /// In-order retirement of completed instructions, up to `width` per
-    /// cycle.
-    fn commit(&mut self) {
+    /// cycle. Returns true when anything retired.
+    fn commit(&mut self) -> bool {
         let mut retired = 0;
         while retired < self.config.width as usize {
             match self.ruu.front() {
@@ -338,26 +392,25 @@ impl Core {
                 _ => break,
             }
         }
+        retired > 0
     }
 
-    /// True when the producer with sequence number `prod` has completed.
-    fn producer_done(&self, prod: u64) -> bool {
-        if prod == u64::MAX {
-            return true;
-        }
+    /// True when the producer in ring slot `prod` has completed.
+    fn producer_done(&self, prod: usize) -> bool {
         // Committed producers left the RUU; their slot in the ring holds the
         // completion cycle. In-flight producers are found in the ring too —
         // entries are written at issue time. Unissued producers hold
         // u64::MAX.
-        self.done_ring[(prod % RING as u64) as usize] <= self.cycle
+        prod == NO_PRODUCER || self.done_ring[prod] <= self.cycle
     }
 
     /// Wake and issue ready instructions (oldest first), bounded by issue
     /// width and functional-unit availability. The scheduler examines at
     /// most [`ISSUE_SCAN`] not-yet-issued entries per cycle — real wakeup
     /// logic has bounded fan-in, and this keeps per-cycle work O(window)
-    /// instead of O(RUU).
-    fn issue(&mut self, fu: &mut FuBusy) {
+    /// instead of O(RUU). Returns true when anything issued or the branch
+    /// blocking fetch resolved.
+    fn issue(&mut self, fu: &mut FuBusy) -> bool {
         let mut issued = 0;
         let mut scanned = 0;
         let width = self.config.width as usize;
@@ -407,18 +460,20 @@ impl Core {
             let entry = &mut self.ruu[idx];
             entry.issued = true;
             entry.done_at = done;
-            self.done_ring[(e.seq % RING as u64) as usize] = done;
+            self.done_ring[e.slot] = done;
             issued += 1;
         }
         // If fetch is blocked on a mispredicted branch that has now
         // executed, schedule the front-end restart.
-        if let Some(bseq) = self.blocked_on_branch {
-            let done = self.done_ring[(bseq % RING as u64) as usize];
+        if let Some(bslot) = self.blocked_on_branch {
+            let done = self.done_ring[bslot];
             if done <= self.cycle {
                 self.blocked_on_branch = None;
                 self.fetch_resume_at = self.fetch_resume_at.max(done + REFILL_PENALTY);
+                return true;
             }
         }
+        issued > 0
     }
 
     /// Access the instruction-fetch path for `code_addr`; returns the stall
@@ -443,16 +498,17 @@ impl Core {
     }
 
     /// Fetch up to `width` instructions and dispatch them into the RUU.
+    /// Returns false only when the front end changed nothing: it is
+    /// stalled, or the instruction waiting in `pending` still finds the
+    /// RUU/LSQ full, or the source is drained.
     fn fetch_dispatch<S: InstSource>(
         &mut self,
         gen: &mut S,
         remaining: &mut u64,
         pending: &mut Option<Inst>,
-        fu: &mut FuBusy,
-    ) {
-        let _ = fu;
+    ) -> bool {
         if self.cycle < self.fetch_resume_at {
-            return;
+            return false;
         }
         if self.blocked_on_branch.is_some() {
             // The front end always speculates down the (wrong) predicted
@@ -464,24 +520,26 @@ impl Core {
             let stall = self.ifetch_access(wp.code_addr());
             if stall > 0 {
                 self.fetch_resume_at = self.cycle + stall;
-                return;
+                return true;
             }
             if self.config.issue_wrong_path && wp.op == OpClass::Load {
                 let _ = self.dtlb.access(wp.addr);
                 let _ = self.dcache.access(wp.addr, &mut self.l2, self.l3.as_mut());
             }
-            return;
+            return true;
         }
 
+        let mut changed = false;
         for _ in 0..self.config.width {
             // Obtain the next architectural instruction.
             let inst = match pending.take() {
                 Some(i) => i,
                 None => {
                     if *remaining == 0 {
-                        return;
+                        return changed;
                     }
                     *remaining -= 1;
+                    changed = true;
                     gen.fetch()
                 }
             };
@@ -492,7 +550,7 @@ impl Core {
                 || (is_mem && self.lsq_used >= self.config.lsq_size)
             {
                 *pending = Some(inst);
-                return;
+                return changed;
             }
 
             // Instruction fetch. On an I-side miss the instruction waits in
@@ -502,26 +560,34 @@ impl Core {
             if stall > 0 {
                 self.fetch_resume_at = self.cycle + stall;
                 *pending = Some(inst);
-                return;
+                return true;
             }
+            changed = true;
 
             let seq = self.next_seq;
             self.next_seq += 1;
-            // Producers must still be "recent" enough to resolve through the
-            // ring; the trace generator bounds distances at 64. A distance
-            // reaching before the trace start means the value was live-in:
-            // no dependency (u64::MAX), never "instruction 0".
+            let slot = self.next_slot;
+            let mask = self.done_ring.len() - 1;
+            self.next_slot = (slot + 1) & mask;
+            // Producers resolve through the ring, which is sized for
+            // distances up to MAX_DEP_DISTANCE. A distance reaching before
+            // the trace start means the value was live-in: no dependency,
+            // never "instruction 0".
+            assert!(
+                inst.dep1 <= MAX_DEP_DISTANCE && inst.dep2 <= MAX_DEP_DISTANCE,
+                "instruction names a producer more than {MAX_DEP_DISTANCE} back"
+            );
             let prod = |d: u16| {
-                if d == 0 {
-                    u64::MAX
+                if d == 0 || u64::from(d) > seq {
+                    NO_PRODUCER
                 } else {
-                    seq.checked_sub(d as u64).unwrap_or(u64::MAX)
+                    slot.wrapping_sub(usize::from(d)) & mask
                 }
             };
             // Mark as not-done until issued.
-            self.done_ring[(seq % RING as u64) as usize] = u64::MAX;
+            self.done_ring[slot] = u64::MAX;
             self.ruu.push_back(RuuEntry {
-                seq,
+                slot,
                 op: inst.op,
                 prod1: prod(inst.dep1),
                 prod2: prod(inst.dep2),
@@ -539,20 +605,238 @@ impl Core {
             if inst.op == OpClass::Branch {
                 let correct = self.bpred.resolve(inst.branch_id, inst.taken);
                 if !correct {
-                    self.blocked_on_branch = Some(seq);
-                    return;
+                    self.blocked_on_branch = Some(slot);
+                    return true;
                 }
             }
         }
+        true
+    }
+}
+
+#[cfg(test)]
+impl Core {
+    /// Reference oracle for [`Core::run`]: the same stages ticked once per
+    /// simulated cycle, idle or not.
+    fn run_ticking<S: InstSource>(&mut self, gen: &mut S, n_insts: u64) -> PipelineStats {
+        let mut remaining = n_insts;
+        let mut pending: Option<Inst> = None;
+        let mut fu = FuBusy::default();
+        let max_cycles = n_insts.saturating_mul(1000).max(10_000);
+        while (remaining > 0 || pending.is_some() || !self.ruu.is_empty())
+            && self.cycle < max_cycles
+        {
+            fu.reset();
+            self.commit();
+            self.issue(&mut fu);
+            self.fetch_dispatch(gen, &mut remaining, &mut pending);
+            self.cycle += 1;
+        }
+        self.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BranchPredictorKind, CpuConfig};
-    use crate::trace::TraceGenerator;
+    use crate::config::{BranchPredictorKind, CpuConfig, DesignSpace, SpaceSpec};
+    use crate::prefetch::PrefetcherKind;
+    use crate::trace::{ReplaySource, TraceGenerator};
     use crate::workload::Benchmark;
+
+    /// Run the idle-skipping loop and the tick-by-tick oracle on fresh
+    /// cores over identical instruction streams; every counter must agree.
+    fn assert_skip_matches_ticks<S: InstSource>(
+        what: &str,
+        make_core: impl Fn() -> Core,
+        make_src: impl Fn() -> S,
+        n: u64,
+    ) {
+        let mut fast = make_core();
+        let skipped = fast.run(&mut make_src(), n);
+        let mut oracle = make_core();
+        let ticked = oracle.run_ticking(&mut make_src(), n);
+        assert_eq!(
+            skipped, ticked,
+            "{what}: idle skip diverged from the tick loop"
+        );
+        assert_eq!(
+            skipped.instructions, n,
+            "{what}: not every instruction committed"
+        );
+        assert_eq!(
+            fast.prefetches_issued(),
+            oracle.prefetches_issued(),
+            "{what}: prefetch count diverged"
+        );
+    }
+
+    /// Seeded Table-1 draws plus the baseline.
+    fn table1_draws(seed: u64, k: usize) -> Vec<CpuConfig> {
+        let space = DesignSpace::table1();
+        let mut configs = vec![CpuConfig::baseline()];
+        configs.extend(
+            space
+                .seeded_pool(seed, k)
+                .into_iter()
+                .map(|i| space.config_at(i)),
+        );
+        configs
+    }
+
+    /// Seeded draws from the million-point lattice, plus the first pooled
+    /// points on its extreme axes: widths 2 and 16, the 512-entry window,
+    /// an L3 with wrong-path issue.
+    fn mega_draws(seed: u64, k: usize) -> Vec<CpuConfig> {
+        let space = DesignSpace::try_generate(&SpaceSpec::mega()).expect("mega spec is valid");
+        let pool: Vec<CpuConfig> = space
+            .seeded_pool(seed, 512)
+            .into_iter()
+            .map(|i| space.config_at(i))
+            .collect();
+        let first = |name: &str, pick: &dyn Fn(&CpuConfig) -> bool| {
+            *pool
+                .iter()
+                .find(|c| pick(c))
+                .unwrap_or_else(|| panic!("no mega draw with {name}"))
+        };
+        let mut configs: Vec<CpuConfig> = pool.iter().copied().take(k).collect();
+        configs.push(first("width 2", &|c| c.width == 2));
+        configs.push(first("width 16", &|c| c.width == 16));
+        configs.push(first("window 512", &|c| c.ruu_size == 512));
+        configs.push(first("L3 + wrong-path issue", &|c| {
+            c.l3.is_some() && c.issue_wrong_path
+        }));
+        configs
+    }
+
+    #[test]
+    fn idle_skip_matches_tick_loop_on_table1_draws() {
+        for (bi, b) in Benchmark::ALL12.into_iter().enumerate() {
+            for (ci, cfg) in table1_draws(100 + bi as u64, 2).into_iter().enumerate() {
+                assert_skip_matches_ticks(
+                    &format!("{} table1 #{ci}", b.name()),
+                    || Core::new(cfg),
+                    || TraceGenerator::for_benchmark(b, 40 + ci as u64),
+                    3_000,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn idle_skip_matches_tick_loop_on_mega_draws_with_replay() {
+        for (bi, b) in Benchmark::ALL12.into_iter().enumerate() {
+            let trace = TraceGenerator::for_benchmark(b, 7).take_vec(3_000);
+            for (ci, cfg) in mega_draws(200 + bi as u64, 1).into_iter().enumerate() {
+                assert_skip_matches_ticks(
+                    &format!("{} mega #{ci}", b.name()),
+                    || Core::new(cfg),
+                    || ReplaySource::new(&trace, 90 + ci as u64),
+                    3_000,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn idle_skip_matches_tick_loop_with_stride_prefetcher() {
+        for b in [
+            Benchmark::Applu,
+            Benchmark::Mcf,
+            Benchmark::Swim,
+            Benchmark::Gcc,
+        ] {
+            for cfg in table1_draws(300, 2) {
+                assert_skip_matches_ticks(
+                    &format!("{} stride prefetch", b.name()),
+                    || Core::with_prefetcher(cfg, PrefetcherKind::Stride),
+                    || TraceGenerator::for_benchmark(b, 11),
+                    4_000,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn idle_skip_matches_tick_loop_with_warmup() {
+        for b in [Benchmark::Mcf, Benchmark::Equake, Benchmark::Gcc] {
+            for cfg in table1_draws(400, 2) {
+                let mut gen = TraceGenerator::for_benchmark(b, 21);
+                let skipped = Core::new(cfg).run_with_warmup(&mut gen, 3_000, 3_000);
+                let mut gen = TraceGenerator::for_benchmark(b, 21);
+                let mut oracle = Core::new(cfg);
+                let warm = oracle.run_ticking(&mut gen, 3_000);
+                let ticked = oracle.run_ticking(&mut gen, 3_000).delta(&warm);
+                assert_eq!(skipped, ticked, "{} warm-up slice diverged", b.name());
+            }
+        }
+    }
+
+    #[test]
+    fn mcf_baseline_skips_idle_cycles() {
+        let mut core = Core::new(CpuConfig::baseline());
+        let mut gen = TraceGenerator::for_benchmark(Benchmark::Mcf, 1);
+        let iterations = core.advance(&mut gen, 10_000);
+        let cycles = core.stats().cycles;
+        assert!(
+            iterations < cycles,
+            "{iterations} loop iterations for {cycles} cycles: no idle cycle was skipped"
+        );
+    }
+
+    /// A chain of single-cycle ALU ops from one I-cache line: each
+    /// instruction reads the result `.0` instructions back.
+    struct DependentChain(u16);
+
+    impl InstSource for DependentChain {
+        fn fetch(&mut self) -> Inst {
+            Inst {
+                op: OpClass::IAlu,
+                dep1: self.0,
+                dep2: 0,
+                addr: 0,
+                block: 0,
+                code_offset: 0,
+                branch_id: 0,
+                taken: false,
+            }
+        }
+        fn fetch_wrong_path(&mut self) -> Inst {
+            self.fetch()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 back")]
+    fn producer_beyond_the_dependence_bound_is_rejected() {
+        Core::new(CpuConfig::baseline()).run(&mut DependentChain(MAX_DEP_DISTANCE + 1), 10);
+    }
+
+    #[test]
+    fn wide_window_keeps_producers_apart() {
+        // With a 2048-entry RUU the front end runs far ahead of the chain.
+        // Were the completion ring shorter than the window plus the
+        // dependence bound, a consumer would read a younger instruction's
+        // slot and issue before its producer finished, and the chain would
+        // finish in fewer cycles than it has links.
+        let mut cfg = CpuConfig::baseline();
+        cfg.ruu_size = 2048;
+        cfg.lsq_size = 1024;
+        let n = 6_000;
+        let s = Core::new(cfg).run(&mut DependentChain(1), n);
+        // Closed form: the cold I-TLB and I-cache miss on the only code
+        // line, then one link per cycle, plus a cycle to issue the first
+        // link and one to retire the last.
+        let lat = LatencyModel::default();
+        let expected = u64::from(lat.tlb_miss + lat.memory) + n + 2;
+        assert_eq!(
+            s.cycles, expected,
+            "a {n}-link chain took {} cycles",
+            s.cycles
+        );
+        assert_eq!(s.instructions, n);
+    }
 
     fn run_config(b: Benchmark, cfg: CpuConfig, n: u64, seed: u64) -> PipelineStats {
         let mut gen = TraceGenerator::for_benchmark(b, seed);

@@ -43,8 +43,9 @@ pub struct Inst {
     /// Operation class.
     pub op: OpClass,
     /// Distance (in dynamic instructions) to the first producer; 0 = none.
+    /// At most 64, the bound the core's completion ring is sized for.
     pub dep1: u16,
-    /// Distance to the second producer; 0 = none.
+    /// Distance to the second producer; 0 = none. At most 64.
     pub dep2: u16,
     /// Byte address for loads/stores (0 otherwise).
     pub addr: u64,
@@ -68,6 +69,10 @@ impl Inst {
 
 /// Bytes of code address space reserved per basic block.
 pub(crate) const CODE_BLOCK_BYTES: u64 = 256;
+
+/// Longest producer distance an instruction may name. The generator clamps
+/// to it, and the core sizes its completion ring from it.
+pub(crate) const MAX_DEP_DISTANCE: u16 = 64;
 
 /// Anything the pipeline can fetch instructions from: a live
 /// [`TraceGenerator`] or a materialized [`ReplaySource`] buffer (used by the
@@ -427,7 +432,7 @@ impl TraceGenerator {
             // Inverse-CDF of geometric with success prob 1/mean.
             let p = 1.0 / mean;
             let d = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
-            (d.max(1.0) as u16).min(64)
+            (d.max(1.0) as u16).min(MAX_DEP_DISTANCE)
         };
         let d1 = draw(&mut self.rng);
         let d2 = if op != OpClass::Branch && self.rng.random::<f64>() < 0.5 {
@@ -446,7 +451,7 @@ impl TraceGenerator {
         let chasing = is_load && self.rng.random::<f64>() < self.profile.dependent_load_frac;
         if chasing {
             // Address comes from the previous load's value: serialize on it.
-            inst.dep1 = self.since_last_load.clamp(1, 64);
+            inst.dep1 = self.since_last_load.clamp(1, MAX_DEP_DISTANCE);
             let rank = ph.data_zipf.sample(&mut self.rng) as u64;
             let line = self.rank_to_line(rank, ph.data_lines);
             return line * 64 + self.rng.random_range(0..8u64) * 8;

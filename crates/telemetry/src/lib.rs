@@ -62,7 +62,7 @@ pub use profile::ProfileEntry;
 pub use progress::Progress;
 pub use sink::{ConsoleLevel, Event, RunSummary};
 pub(crate) use sink::{ConsoleSink, JsonlSink, Sink};
-pub use span::SpanGuard;
+pub use span::{SpanContext, SpanGuard};
 
 struct Global {
     enabled: AtomicBool,

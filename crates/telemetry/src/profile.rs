@@ -7,13 +7,14 @@
 //! `sampled_dse/rate/model/fit`): call count, total wall time, and
 //! *self* time — total minus the time spent in child spans.
 //!
-//! Children close before their parent on the same thread, and a span
-//! opened on a rayon worker thread starts a fresh ancestry there, so
-//! attributing each closing span's wall time to its textual parent path
-//! is exact per thread and additive across threads. Self time is
-//! computed as a saturating subtraction: overlapping child time from
-//! concurrently-reused paths can only make a parent look *busier*,
-//! never produce negative self time.
+//! Children close before their parent, and a span opened on a rayon
+//! worker thread nests under the span that spawned the worker
+//! ([`SpanContext`](crate::SpanContext)), so each closing span's wall
+//! time is attributed to its true parent path. Children that ran
+//! concurrently on several workers can sum to more than their parent's
+//! wall time, so self time is a saturating subtraction: a parent that
+//! waited on its workers shows (near) zero self time, never a negative
+//! one.
 //!
 //! The aggregate is emitted two ways at run end: `profile` records in
 //! the JSONL manifest (one per path) and, for humans,

@@ -2,8 +2,11 @@
 //!
 //! A [`SpanGuard`] measures the wall time between its creation and drop
 //! and emits a `span` event with its slash-joined ancestry path. Nesting
-//! is tracked per thread with a thread-local name stack, so concurrent
-//! rayon workers each get their own hierarchy. Guards are scope-bound:
+//! is tracked per thread with a thread-local name stack. A thread that
+//! hands work to other threads captures its stack as a [`SpanContext`],
+//! and each worker runs under it with [`SpanContext::scope`], so spans
+//! opened on the workers nest under the span that spawned them (the
+//! rayon shim does this for every worker). Guards are scope-bound:
 //! create them with the [`span!`](crate::span) macro, bind to a local
 //! (`let _span = span!(...)`), and let them drop in LIFO order.
 
@@ -81,6 +84,37 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The span ancestry open on one thread, outermost first, captured so
+/// work handed to other threads nests under it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanContext {
+    stack: Vec<&'static str>,
+}
+
+impl SpanContext {
+    /// The calling thread's open spans.
+    pub fn current() -> Self {
+        SpanContext {
+            stack: SPAN_STACK.with(|stack| stack.borrow().clone()),
+        }
+    }
+
+    /// Run `f` with this context as the calling thread's span ancestry,
+    /// so spans `f` opens nest under it. The thread's own ancestry comes
+    /// back afterwards, also when `f` unwinds.
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Vec<&'static str>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let own = std::mem::take(&mut self.0);
+                SPAN_STACK.with(|stack| *stack.borrow_mut() = own);
+            }
+        }
+        let _restore = Restore(SPAN_STACK.with(|stack| stack.replace(self.stack.clone())));
+        f()
+    }
+}
+
 /// Open a timed span: `span!("sweep")` or `span!("simulate", config_id)`.
 ///
 /// Returns a [`SpanGuard`]; bind it to keep the span open. Attributes can
@@ -133,4 +167,27 @@ macro_rules! point {
     ($name:expr, $($key:ident),+ $(,)?) => {
         $crate::point!($name, $($key = $key),+)
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scope_nests_worker_spans_and_restores_the_worker_ancestry() {
+        let _outer = SpanGuard::enter("outer", Vec::new());
+        let ctx = SpanContext::current();
+        assert_eq!(ctx.stack, ["outer"]);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(SpanContext::current(), SpanContext::default());
+                ctx.scope(|| {
+                    let _inner = SpanGuard::enter("inner", Vec::new());
+                    assert_eq!(SpanContext::current().stack, ["outer", "inner"]);
+                });
+                assert_eq!(SpanContext::current(), SpanContext::default());
+            });
+        });
+        assert_eq!(SpanContext::current(), ctx);
+    }
 }
