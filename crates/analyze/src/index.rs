@@ -10,9 +10,9 @@
 //! * `env-registry` — every `std::env::var("PERFPREDICT_*")` read must
 //!   match a declared `[[env]]` entry in `analyze.toml` carrying a
 //!   one-line doc string, and every declared entry must still be read
-//!   somewhere. Undocumented runtime knobs (the `PERFPREDICT_NN_SCALAR`
-//!   class) get flagged at the read site; dead declarations get flagged
-//!   at the declaration.
+//!   somewhere. Undocumented runtime knobs (a test-oracle switch read
+//!   from the environment, say) get flagged at the read site; dead
+//!   declarations get flagged at the declaration.
 //! * `nondet-source` — wall-clock reads (`Instant::now`,
 //!   `SystemTime::now`) and entropy-derived RNG seeding
 //!   (`from_entropy`, `thread_rng`, `OsRng`) in library code are how

@@ -33,8 +33,8 @@
 //!
 //! ```toml
 //! [[env]]
-//! name = "PERFPREDICT_NN_SCALAR"
-//! doc = "1 = force the per-sample scalar NN path (bit-exactness oracle)"
+//! name = "PERFPREDICT_LOG"
+//! doc = "console telemetry verbosity: off / info / debug (unset means off)"
 //! ```
 //!
 //! The `env-registry` pass enforces both directions (see

@@ -7,13 +7,9 @@
 //! model: `cached` (2 000 requests over 32 distinct configs, the
 //! steady-state surrogate-query case) and `cold` (cache disabled, every
 //! request pays a prediction). Before timing, the harness asserts the
-//! replay is byte-identical across 1 and 4 worker threads, and that the
-//! compiled specialized predictors (the default serve path) produce
-//! byte-identical output to the interpreted transform-then-predict
-//! oracle selected by `PERFPREDICT_SERVE=interpreted` — the same switch
-//! `serve::core`'s tests use. The `replay_cold_interp_*` rows time that
-//! oracle so BENCH_serve.json carries the compiled-vs-interpreted
-//! speedup alongside the equivalence certificate.
+//! replay is byte-identical across 1, 2 and 4 worker threads. That the
+//! compiled predictors match the interpreted transform-then-predict
+//! path bit for bit is pinned by `serve`'s unit tests.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlmodels::table::Table;
@@ -95,20 +91,9 @@ fn daemon_replay(artifact_path: &str, stream: &str) -> serve::DaemonStats {
         .expect("daemon replay")
 }
 
-/// Run `f` with the interpreted-oracle switch set, restoring it after.
-/// `serve::core` reads the variable per prediction window, so toggling
-/// it in-process flips the path without rebuilding the engine.
-fn with_interpreted_oracle<T>(f: impl FnOnce() -> T) -> T {
-    std::env::set_var("PERFPREDICT_SERVE", "interpreted");
-    let out = f();
-    std::env::remove_var("PERFPREDICT_SERVE");
-    out
-}
-
-/// Replay once per worker count and assert byte-identical output — both
-/// across worker counts and between the compiled predictors and the
-/// interpreted oracle — then record one representative timing into
-/// telemetry counters.
+/// Replay once per worker count and assert byte-identical output across
+/// worker counts, then record one representative timing into telemetry
+/// counters.
 fn assert_equivalence_and_record(artifact: &ModelArtifact, stream: &str, tag: &str) {
     let t0 = Instant::now();
     let (base, stats) = serve_jsonl(artifact.clone(), config(4096, 1), stream).expect("replay");
@@ -123,13 +108,6 @@ fn assert_equivalence_and_record(artifact: &ModelArtifact, stream: &str, tag: &s
             .expect("multi-worker replay");
         assert_eq!(base, out, "{tag}: output differs at {workers} workers");
     }
-    let (interp, _) = with_interpreted_oracle(|| {
-        serve_jsonl(artifact.clone(), config(4096, 1), stream).expect("interpreted replay")
-    });
-    assert_eq!(
-        base, interp,
-        "{tag}: compiled predictor differs from the interpreted oracle"
-    );
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -167,18 +145,6 @@ fn bench_serve(c: &mut Criterion) {
                 |a| black_box(serve_jsonl(a, config(0, 2), &stream)),
                 BatchSize::LargeInput,
             )
-        });
-        // Same cold replay through the interpreted oracle: the
-        // compiled-vs-interpreted speedup is replay_cold_interp /
-        // replay_cold on the same stream, proven bit-identical above.
-        group.bench_function(format!("replay_cold_interp_{tag}"), |b| {
-            with_interpreted_oracle(|| {
-                b.iter_batched(
-                    || artifact.clone(),
-                    |a| black_box(serve_jsonl(a, config(0, 2), &stream)),
-                    BatchSize::LargeInput,
-                )
-            })
         });
     }
     // Artifact decode path: bytes -> validated model, the per-process

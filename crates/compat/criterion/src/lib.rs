@@ -13,7 +13,8 @@
 //! `--bench` and benchmark-name filter arguments passed by `cargo bench`
 //! are accepted; a filter restricts which benchmarks run, as upstream.
 //!
-//! Two environment hooks support scripted runs (`scripts/bench.sh`):
+//! Two environment hooks support scripted runs (`scripts/bench.sh`),
+//! both read once when the [`Criterion`] is built:
 //!
 //! - `CRITERION_QUICK` (set to anything but `0`): clamp every group's
 //!   warm-up, measurement budget, and sample count to smoke-test values
@@ -25,23 +26,28 @@
 
 use std::fmt::Display;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// True when `CRITERION_QUICK` requests smoke-test timing budgets.
-fn quick_mode() -> bool {
-    std::env::var_os("CRITERION_QUICK").is_some_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Top-level harness state, mirroring `criterion::Criterion`.
 pub struct Criterion {
     filter: Option<String>,
+    /// Smoke-test timing budgets (`CRITERION_QUICK`).
+    quick: bool,
+    /// Where to append one JSON record per benchmark
+    /// (`CRITERION_JSON_LINES`).
+    json_lines: Option<PathBuf>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         // cargo bench passes `--bench` plus any user filter string.
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Criterion { filter }
+        Criterion {
+            filter,
+            quick: std::env::var_os("CRITERION_QUICK").is_some_and(|v| !v.is_empty() && v != "0"),
+            json_lines: std::env::var_os("CRITERION_JSON_LINES").map(PathBuf::from),
+        }
     }
 }
 
@@ -163,7 +169,7 @@ impl BenchmarkGroup<'_> {
         }
         // Quick mode overrides whatever the group configured: the goal is
         // a bounded-wall-clock smoke pass, so clamps beat setters.
-        let (sample_size, warm_up_time, measurement_time) = if quick_mode() {
+        let (sample_size, warm_up_time, measurement_time) = if self.criterion.quick {
             (
                 self.sample_size.min(5),
                 self.warm_up_time.min(Duration::from_millis(50)),
@@ -181,7 +187,7 @@ impl BenchmarkGroup<'_> {
             measurement_time,
         };
         f(&mut b);
-        b.report(&full, self.throughput);
+        b.report(&full, self.throughput, self.criterion.json_lines.as_deref());
     }
 }
 
@@ -247,7 +253,7 @@ impl Bencher {
         }
     }
 
-    fn report(&self, name: &str, throughput: Option<Throughput>) {
+    fn report(&self, name: &str, throughput: Option<Throughput>, json_lines: Option<&Path>) {
         if self.samples.is_empty() {
             println!("{name:<40} (no samples)");
             return;
@@ -273,7 +279,7 @@ impl Bencher {
             "{name:<40} mean {mean:>12.3?}  median {median:>12.3?}  ({} samples x {per_sample} iters){rate}",
             self.samples.len(),
         );
-        if let Some(path) = std::env::var_os("CRITERION_JSON_LINES") {
+        if let Some(path) = json_lines {
             let line = format!(
                 "{{\"bench\":\"{}\",\"mean_ns\":{},\"median_ns\":{},\"samples\":{},\"iters_per_sample\":{}}}\n",
                 json_escape(name),
@@ -285,13 +291,10 @@ impl Bencher {
             let written = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&path)
+                .open(path)
                 .and_then(|mut f| f.write_all(line.as_bytes()));
             if let Err(e) = written {
-                eprintln!(
-                    "criterion: cannot append to {}: {e}",
-                    path.to_string_lossy()
-                );
+                eprintln!("criterion: cannot append to {}: {e}", path.display());
             }
         }
     }
@@ -338,7 +341,11 @@ mod tests {
 
     #[test]
     fn harness_times_and_reports() {
-        let mut c = Criterion { filter: None };
+        let mut c = Criterion {
+            filter: None,
+            quick: false,
+            json_lines: None,
+        };
         let mut group = c.benchmark_group("smoke");
         group.sample_size(3);
         group.warm_up_time(Duration::from_millis(5));
@@ -358,9 +365,11 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("criterion-jsonl-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("CRITERION_QUICK", "1");
-        std::env::set_var("CRITERION_JSON_LINES", &path);
-        let mut c = Criterion { filter: None };
+        let mut c = Criterion {
+            filter: None,
+            quick: true,
+            json_lines: Some(path.clone()),
+        };
         let mut group = c.benchmark_group("jsonl");
         // Quick mode must clamp even a deliberately long configuration.
         group.measurement_time(Duration::from_secs(60));
@@ -369,8 +378,6 @@ mod tests {
         let started = Instant::now();
         group.bench_function("spin", |b| b.iter(|| (0..100u64).sum::<u64>()));
         group.finish();
-        std::env::remove_var("CRITERION_QUICK");
-        std::env::remove_var("CRITERION_JSON_LINES");
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "quick mode ignored"
@@ -395,6 +402,8 @@ mod tests {
     fn filter_skips_nonmatching() {
         let mut c = Criterion {
             filter: Some("nomatch".into()),
+            quick: false,
+            json_lines: None,
         };
         let mut group = c.benchmark_group("g");
         let mut ran = false;

@@ -15,20 +15,11 @@
 //!
 //! Selection order: a thread-local override installed by
 //! [`with_backend`] (tests and benches compare both backends
-//! in-process), then the `PERFPREDICT_KERNEL` environment variable
-//! (`scalar` forces the oracle; `simd`/`avx2`/`auto`/unset pick AVX2
-//! when available; any other value falls back to `scalar`), cached
-//! for the life of the process. On non-x86_64 targets every path
+//! in-process), then CPU detection: AVX2 when the CPU reports it
+//! (`std` caches the detection). On non-x86_64 targets every path
 //! resolves to `Scalar`.
-//!
-//! The f32 kernels (`axpy_f32`, `dot_f32`) serve the opt-in f32
-//! inference mode. They carry **no** bit-identity contract — f32
-//! results are checked against the f64 path with a bounded relative
-//! error instead — but they still avoid FMA so the error model stays
-//! simple.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Which kernel implementation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,27 +42,14 @@ pub fn avx2_available() -> bool {
     }
 }
 
-fn resolve_from_env() -> Backend {
-    let auto = || {
-        if avx2_available() {
-            Backend::Avx2
-        } else {
-            Backend::Scalar
-        }
-    };
-    match std::env::var("PERFPREDICT_KERNEL") {
-        Ok(v) => match v.as_str() {
-            "scalar" => Backend::Scalar,
-            "simd" | "avx2" | "auto" | "" => auto(),
-            // An unrecognized value degrades to the oracle rather than
-            // guessing: scalar is always correct, just slower.
-            _ => Backend::Scalar,
-        },
-        Err(_) => auto(),
+/// The fastest backend the running CPU supports.
+fn detect() -> Backend {
+    if avx2_available() {
+        Backend::Avx2
+    } else {
+        Backend::Scalar
     }
 }
-
-static RESOLVED: OnceLock<Backend> = OnceLock::new();
 
 thread_local! {
     static OVERRIDE: Cell<Option<Backend>> = const { Cell::new(None) };
@@ -84,10 +62,7 @@ thread_local! {
 /// the value — worker threads do not inherit the thread-local override
 /// installed by [`with_backend`].
 pub fn backend() -> Backend {
-    if let Some(b) = OVERRIDE.with(|o| o.get()) {
-        return b;
-    }
-    *RESOLVED.get_or_init(resolve_from_env)
+    OVERRIDE.with(|o| o.get()).unwrap_or_else(detect)
 }
 
 /// Run `f` with the backend forced to `b` on this thread, restoring
@@ -109,10 +84,6 @@ pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
     let _restore = Restore(OVERRIDE.with(|o| o.replace(Some(b))));
     f()
 }
-
-// ---------------------------------------------------------------------------
-// f64 kernels (bit-identity contract)
-// ---------------------------------------------------------------------------
 
 /// `out[i] += s * a[i]` — the inner loop of every matmul/affine row.
 ///
@@ -149,7 +120,7 @@ pub fn dot(be: Backend, a: &[f64], b: &[f64]) -> f64 {
         Backend::Avx2 => {
             debug_assert!(avx2_available());
             // SAFETY: Backend::Avx2 implies the avx2 feature was
-            // detected at runtime (see resolve/with_backend), so
+            // detected at runtime (see detect/with_backend), so
             // calling the target-feature function is permitted.
             unsafe { dot_avx2(a, b) }
         }
@@ -230,106 +201,6 @@ unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-// ---------------------------------------------------------------------------
-// f32 kernels (bounded-error contract, no bit-identity requirement)
-// ---------------------------------------------------------------------------
-
-/// `out[i] += s * a[i]` in f32. Used by the opt-in f32 inference mode;
-/// checked against the f64 path by a relative-error bound, not bitwise.
-pub fn axpy_f32(be: Backend, s: f32, a: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), out.len());
-    match be {
-        Backend::Scalar => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o += s * x;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            debug_assert!(avx2_available());
-            // SAFETY: Backend::Avx2 implies runtime AVX2 detection
-            // succeeded, so the target-feature function may be called.
-            unsafe { axpy_f32_avx2(s, a, out) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o += s * x;
-            }
-        }
-    }
-}
-
-/// Sequential-order f32 dot product (same shape as [`dot`]).
-pub fn dot_f32(be: Backend, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match be {
-        Backend::Scalar => a.iter().zip(b).map(|(x, y)| x * y).sum(),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            debug_assert!(avx2_available());
-            // SAFETY: Backend::Avx2 implies runtime AVX2 detection
-            // succeeded, so the target-feature function may be called.
-            unsafe { dot_f32_avx2(a, b) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => a.iter().zip(b).map(|(x, y)| x * y).sum(),
-    }
-}
-
-/// SAFETY: callers must have verified AVX2 support at runtime; loads
-/// and stores are unaligned and in-bounds (chunk loop covers
-/// `[0, 8 * (len / 8))`, tail is safe indexing).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_f32_avx2(s: f32, a: &[f32], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = out.len().min(a.len());
-    let chunks = n / 8;
-    let sv = _mm256_set1_ps(s);
-    let ap = a.as_ptr();
-    let op = out.as_mut_ptr();
-    for c in 0..chunks {
-        let at = ap.add(c * 8);
-        let ot = op.add(c * 8);
-        let prod = _mm256_mul_ps(sv, _mm256_loadu_ps(at));
-        _mm256_storeu_ps(ot, _mm256_add_ps(_mm256_loadu_ps(ot), prod));
-    }
-    for i in chunks * 8..n {
-        out[i] += s * a[i];
-    }
-}
-
-/// SAFETY: callers must have verified AVX2 support at runtime; loads
-/// are unaligned and in-bounds, and the product lanes are reduced
-/// sequentially from a spilled local array.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_f32_avx2(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let chunks = n / 8;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    // Match std's `Sum for f32` fold seed of -0.0.
-    let mut acc = -0.0f32;
-    let mut prod = [0.0f32; 8];
-    for c in 0..chunks {
-        let pv = _mm256_mul_ps(
-            _mm256_loadu_ps(ap.add(c * 8)),
-            _mm256_loadu_ps(bp.add(c * 8)),
-        );
-        _mm256_storeu_ps(prod.as_mut_ptr(), pv);
-        for &p in &prod {
-            acc += p;
-        }
-    }
-    for i in chunks * 8..n {
-        acc += a[i] * b[i];
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn env_override_is_not_consulted_under_with_backend() {
+    fn with_backend_forces_the_backend() {
         let inside = with_backend(Backend::Scalar, backend);
         assert_eq!(inside, Backend::Scalar);
         let forced = with_backend(Backend::Avx2, backend);
@@ -392,29 +263,6 @@ mod tests {
             let s = dot(Backend::Scalar, &a, &b);
             let v = dot(Backend::Avx2, &a, &b);
             assert_eq!(s.to_bits(), v.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn f32_kernels_agree_between_backends_within_rounding() {
-        if !avx2_available() {
-            return;
-        }
-        for n in [0usize, 1, 7, 8, 9, 17, 40] {
-            let a: Vec<f32> = (0..n).map(|i| i as f32 * 0.31 - 2.0).collect();
-            let b: Vec<f32> = (0..n).map(|i| 1.5 - i as f32 * 0.17).collect();
-            let s = dot_f32(Backend::Scalar, &a, &b);
-            let v = dot_f32(Backend::Avx2, &a, &b);
-            assert!(
-                (s - v).abs() <= 1e-4 * s.abs().max(1.0),
-                "n={n} scalar={s} avx2={v}"
-            );
-            let mut so = b.clone();
-            let mut vo = b.clone();
-            axpy_f32(Backend::Scalar, 0.5, &a, &mut so);
-            axpy_f32(Backend::Avx2, 0.5, &a, &mut vo);
-            // axpy_f32 is one mul+add per element in both backends.
-            assert_eq!(so, vo, "n={n}");
         }
     }
 }

@@ -146,7 +146,7 @@ impl Matrix {
     /// The inner row update dispatches through [`simd::axpy`], whose AVX2
     /// backend vectorizes across output columns while keeping every
     /// element's mul-then-add order identical to the scalar oracle
-    /// (`PERFPREDICT_KERNEL=scalar`). The backend is resolved once here,
+    /// ([`simd::Backend::Scalar`]). The backend is resolved once here,
     /// on the calling thread, so a `simd::with_backend` override survives
     /// the rayon fan-out.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
@@ -205,7 +205,9 @@ impl Matrix {
     /// k-ascending order — the same floating-point grouping as the scalar
     /// per-sample forward pass (`s = b; s += w·a`), so batching a network
     /// forward through this kernel changes nothing in the low bits. `w` is
-    /// `outputs x inputs`, matching layer weight storage.
+    /// `outputs x inputs`, matching layer weight storage. It is a plain
+    /// scalar loop on every backend: at network sizes an AVX2 variant
+    /// measured no faster.
     pub fn affine_nt(&self, w: &Matrix, bias: &[f64]) -> Matrix {
         assert_eq!(
             self.cols, w.cols,
@@ -213,42 +215,18 @@ impl Matrix {
             self.rows, self.cols, w.rows, w.cols
         );
         assert_eq!(w.rows, bias.len(), "affine_nt: bias length mismatch");
-        let be = simd::backend();
         let flops = self.rows * self.cols * w.rows;
-        if be == simd::Backend::Scalar {
-            // The original per-output scalar loop, verbatim — the
-            // bit-exactness oracle for the SIMD path below.
-            return row_tiled(self.rows, w.rows, flops, |r0, buf| {
-                let out_cols = w.rows;
-                for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
-                    let a_row = self.row(ti);
-                    let o_row = &mut buf[i * out_cols..(i + 1) * out_cols];
-                    for (o, out) in o_row.iter_mut().enumerate() {
-                        let mut s = bias[o];
-                        for (&a, &wv) in a_row.iter().zip(w.row(o)) {
-                            s += wv * a;
-                        }
-                        *out = s;
-                    }
-                }
-            });
-        }
-        // SIMD arm: seed each output row with the bias, then fold the
-        // k-ascending rank-one updates through the vectorized axpy over a
-        // once-per-call transposed weight matrix. Element `o` still
-        // computes `bias[o] + Σ_k a[k] * w[o][k]` with the sum grouped
-        // bias-first in k-ascending order; `a * w` commutes with
-        // identical rounding, so the result is bit-identical to the
-        // scalar oracle above.
-        let wt = w.transpose();
-        row_tiled(self.rows, w.rows, flops, move |r0, buf| {
+        row_tiled(self.rows, w.rows, flops, |r0, buf| {
             let out_cols = w.rows;
             for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
                 let a_row = self.row(ti);
                 let o_row = &mut buf[i * out_cols..(i + 1) * out_cols];
-                o_row.copy_from_slice(bias);
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    simd::axpy(be, a_ik, wt.row(k), o_row);
+                for (o, out) in o_row.iter_mut().enumerate() {
+                    let mut s = bias[o];
+                    for (&a, &wv) in a_row.iter().zip(w.row(o)) {
+                        s += wv * a;
+                    }
+                    *out = s;
                 }
             }
         })

@@ -63,16 +63,26 @@ proptest! {
         assert_bits_eq(&s, &v, "matmul_tn");
     }
 
+    /// `affine_nt` has one path; under either backend it must equal the
+    /// bias-first, k-ascending fold of the scalar network forward.
     #[test]
-    fn affine_nt_simd_bit_identical_to_scalar(
+    fn affine_nt_matches_bias_first_fold_under_both_backends(
         m in dim(), k in dim(), o in dim(), da in pool(), dw in pool(), dbias in pool(),
     ) {
         let a = shaped(m, k, &da);
         let w = shaped(o, k, &dw);
         let bias = &dbias[..o];
+        let fold = Matrix::from_fn(m, o, |i, out| {
+            let mut s = bias[out];
+            for j in 0..k {
+                s += w[(out, j)] * a[(i, j)];
+            }
+            s
+        });
         let s = with_backend(Backend::Scalar, || a.affine_nt(&w, bias));
         let v = with_backend(Backend::Avx2, || a.affine_nt(&w, bias));
-        assert_bits_eq(&s, &v, "affine_nt");
+        assert_bits_eq(&fold, &s, "affine_nt(scalar)");
+        assert_bits_eq(&fold, &v, "affine_nt(avx2)");
     }
 
     #[test]

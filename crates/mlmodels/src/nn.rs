@@ -15,14 +15,9 @@ use linalg::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-/// When `PERFPREDICT_NN_SCALAR=1`, prediction and the full-batch gradient
-/// run the historical per-sample scalar loops instead of the batched
-/// matrix kernels. The two paths are bit-identical by construction (tests
-/// pin this); the flag exists as the equivalence oracle and as the
-/// baseline side of the NN benchmarks.
-fn scalar_oracle() -> bool {
-    std::env::var_os("PERFPREDICT_NN_SCALAR").is_some_and(|v| v == "1")
-}
+/// Per-layer `(dW, db)` of the full-batch squared-error gradient, in the
+/// same shapes as the weights.
+type Gradient = Vec<(Vec<Vec<f64>>, Vec<f64>)>;
 
 /// Training algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -258,9 +253,8 @@ impl Mlp {
     }
 
     /// Predict every row of a design matrix, rejecting width mismatches
-    /// with a typed error instead of panicking (batched kernels; the
-    /// scalar per-row path behind `PERFPREDICT_NN_SCALAR=1` is
-    /// bit-identical).
+    /// with a typed error instead of panicking (batched kernels,
+    /// bit-identical to [`Self::forward`] per row).
     pub fn try_predict(&self, x: &Matrix) -> Result<Vec<f64>> {
         if x.cols() != self.inputs() {
             return Err(Error::invalid(format!(
@@ -268,9 +262,6 @@ impl Mlp {
                 self.inputs(),
                 x.cols()
             )));
-        }
-        if scalar_oracle() {
-            return Ok((0..x.rows()).map(|i| self.forward(x.row(i))).collect());
         }
         let out = self.forward_batch(x).pop().expect("output layer");
         Ok(out.as_slice().to_vec())
@@ -380,30 +371,18 @@ impl Mlp {
         }
     }
 
-    /// Accumulate the full-batch squared-error gradient. Returns
-    /// per-layer (dW, db) in the same shapes as the weights. Dispatches
-    /// to the batched matrix-kernel path unless the scalar oracle flag is
-    /// set; both produce bit-identical gradients.
-    fn batch_gradient(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
-        if scalar_oracle() {
-            self.batch_gradient_scalar(x, y)
-        } else {
-            self.batch_gradient_batched(x, y)
-        }
-    }
-
     /// Matrix-form full-batch gradient: one batched forward, then per
     /// layer a `deltaᵀ·activations` product ([`Matrix::matmul_tn`]) for
     /// dW, a column sum for db, and a `delta·W` product for the upstream
     /// delta. Every kernel accumulates in row-ascending order — exactly
-    /// the order [`Mlp::batch_gradient_scalar`] adds per-sample
+    /// the order `Mlp::batch_gradient_scalar` adds per-sample
     /// contributions — so the results match the oracle bit for bit.
-    fn batch_gradient_batched(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
+    fn batch_gradient(&self, x: &Matrix, y: &[f64]) -> Gradient {
         let n = x.rows() as f64;
         let acts = self.forward_batch(x);
         let y_hat = acts.last().expect("output layer");
         let mut delta = Matrix::from_fn(x.rows(), 1, |i, _| (y_hat[(i, 0)] - y[i]) / n);
-        let mut grads: Vec<(Vec<Vec<f64>>, Vec<f64>)> = self
+        let mut grads: Gradient = self
             .layers
             .iter()
             .map(|_| (Vec::new(), Vec::new()))
@@ -442,8 +421,9 @@ impl Mlp {
 
     /// Per-sample scalar gradient accumulation — the historical hot loop,
     /// kept verbatim as the equivalence oracle for the batched path.
-    fn batch_gradient_scalar(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
-        let mut grads: Vec<(Vec<Vec<f64>>, Vec<f64>)> = self
+    #[cfg(test)]
+    fn batch_gradient_scalar(&self, x: &Matrix, y: &[f64]) -> Gradient {
+        let mut grads: Gradient = self
             .layers
             .iter()
             .map(|l| {
@@ -504,8 +484,15 @@ impl Mlp {
     }
 
     /// iRProp− training loop: per-weight step sizes grow (×1.2) while the
-    /// gradient keeps its sign and shrink (×0.5) when it flips.
-    fn train_rprop(&mut self, x: &Matrix, y: &[f64], cfg: &TrainConfig) {
+    /// gradient keeps its sign and shrink (×0.5) when it flips. `gradient`
+    /// is [`Mlp::batch_gradient`]; tests pass the scalar oracle instead.
+    fn train_rprop(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        cfg: &TrainConfig,
+        gradient: fn(&Mlp, &Matrix, &[f64]) -> Gradient,
+    ) {
         const ETA_PLUS: f64 = 1.2;
         const ETA_MINUS: f64 = 0.5;
         const STEP_MAX: f64 = 1.0;
@@ -541,7 +528,7 @@ impl Mlp {
                 }
             }
             let t_epoch = trace.then(std::time::Instant::now);
-            let mut grads = self.batch_gradient(x, y);
+            let mut grads = gradient(self, x, y);
             // Weight decay folds into the gradient.
             if cfg.weight_decay > 0.0 {
                 for (li, layer) in self.layers.iter().enumerate() {
@@ -675,7 +662,7 @@ impl Mlp {
                         self.prune_input(d);
                     }
                 }
-                self.train_rprop(x, y, cfg);
+                self.train_rprop(x, y, cfg, Mlp::batch_gradient);
                 let rmse = self.rmse(x, y);
                 if !diverged(rmse) {
                     return Ok(rmse);
@@ -979,7 +966,7 @@ mod tests {
         for hidden in [vec![6], vec![8, 4]] {
             let mut net = Mlp::new(2, &hidden, 21);
             net.prune_input(1); // exercise the dead-input mask too
-            let fast = net.batch_gradient_batched(&x, &y);
+            let fast = net.batch_gradient(&x, &y);
             let slow = net.batch_gradient_scalar(&x, &y);
             assert_eq!(fast.len(), slow.len());
             for (li, ((fw, fb), (sw, sb))) in fast.iter().zip(&slow).enumerate() {
@@ -992,6 +979,33 @@ mod tests {
                     assert!(a.to_bits() == b.to_bits(), "db[{li}][{o}]: {a} vs {b}");
                 }
             }
+        }
+    }
+
+    /// Thirty RProp epochs driven by the batched gradient and by the
+    /// per-sample scalar oracle must land on bit-identical weights, so
+    /// every prediction matches too.
+    #[test]
+    fn rprop_30_epochs_batched_matches_scalar_oracle_bitwise() {
+        let x = Matrix::from_fn(150, 24, |i, j| (((i * 7 + j * 13 + 5) % 29) as f64) / 29.0);
+        let y: Vec<f64> = (0..150)
+            .map(|i| 0.2 + 0.5 * x[(i, 0)] + 0.25 * x[(i, 3)] * x[(i, 9)] - 0.15 * x[(i, 17)])
+            .collect();
+        let cfg = TrainConfig {
+            algo: TrainAlgo::Rprop,
+            epochs: 30,
+            seed: 7,
+            ..TrainConfig::default()
+        };
+        let mut batched = Mlp::new(24, &[16], cfg.seed);
+        batched.train_rprop(&x, &y, &cfg, Mlp::batch_gradient);
+        let mut scalar = Mlp::new(24, &[16], cfg.seed);
+        scalar.train_rprop(&x, &y, &cfg, Mlp::batch_gradient_scalar);
+        let pb = batched.predict(&x);
+        let ps = scalar.predict(&x);
+        assert_eq!(pb.len(), ps.len());
+        for (i, (a, b)) in pb.iter().zip(&ps).enumerate() {
+            assert!(a.to_bits() == b.to_bits(), "row {i}: {a} vs {b}");
         }
     }
 

@@ -41,7 +41,6 @@
 //! failure exits 3; all-models-quarantined exits 8.
 
 use crate::admission::AdmissionQueue;
-use crate::compiled::Precision;
 use crate::core::predict_window;
 use crate::registry::{Registry, Route};
 use crate::request::{request_from_fields, Request};
@@ -194,17 +193,9 @@ impl DaemonStats {
 
 /// A control verb parsed from a frame's `"op"` field.
 enum Op {
-    Load {
-        name: String,
-        path: String,
-        precision: Precision,
-    },
-    Reload {
-        route: String,
-    },
-    Unload {
-        route: String,
-    },
+    Load { name: String, path: String },
+    Reload { route: String },
+    Unload { route: String },
     Status,
     Shutdown,
 }
@@ -427,24 +418,17 @@ fn classify_frame(line: &str, frame_no: u64) -> WorkItem {
                 Ok(None) => return malformed(id, "'load' needs a 'path'".to_string()),
                 Err(detail) => return malformed(id, detail),
             };
-            // Optional "precision": "f64" (default) or "f32" opts this
-            // version into verified single-precision inference.
-            let precision = match take_str(&mut fields, "precision") {
-                Ok(None) => Precision::F64,
-                Ok(Some(p)) if p == "f64" => Precision::F64,
-                Ok(Some(p)) if p == "f32" => Precision::F32,
-                Ok(Some(p)) => {
-                    return malformed(id, format!("unknown precision '{p}' (use f64 or f32)"))
-                }
+            // Optional "precision": predictions are f64, so "f64" is the
+            // only value accepted.
+            match take_str(&mut fields, "precision") {
+                Ok(None) => {}
+                Ok(Some(p)) if p == "f64" => {}
+                Ok(Some(p)) => return malformed(id, format!("unknown precision '{p}' (use f64)")),
                 Err(detail) => return malformed(id, detail),
-            };
+            }
             WorkItem::Control(ControlJob {
                 id,
-                op: Op::Load {
-                    name,
-                    path,
-                    precision,
-                },
+                op: Op::Load { name, path },
             })
         }
         Some(verb @ ("reload" | "unload")) => match take_str(&mut fields, "model") {
@@ -871,36 +855,23 @@ impl Daemon {
                 }
                 if !valid.is_empty() {
                     let refs: Vec<&Request> = valid.iter().map(|(_, _, _, r)| r).collect();
-                    match predict_window(
+                    let outcome = predict_window(
                         &model.compiled,
                         &mut model.cache,
                         self.config.workers,
                         &refs,
-                    ) {
-                        Ok(outcome) => {
-                            for ((slot, id, admitted_at, _), &(p, cached)) in
-                                valid.iter().zip(&outcome.results)
-                            {
-                                responses[*slot] = Some(predict_line(id, p, cached));
-                                stats.requests += 1;
-                                latency.observe_ns(admitted_at.elapsed());
-                            }
-                            stats.cache_hits += outcome.hits;
-                            stats.cache_misses += valid.len() as u64 - outcome.hits;
-                            stats.predictions += outcome.predictions;
-                            stats.batches += outcome.batches;
-                        }
-                        Err(e) => {
-                            // A predict failure (only reachable on the
-                            // interpreted oracle path) answers every job
-                            // in the group with a typed error line; the
-                            // daemon stays up.
-                            for (slot, id, _, _) in &valid {
-                                stats.invalid += 1;
-                                responses[*slot] = Some(error_line(id, e.kind(), &e.to_string()));
-                            }
-                        }
+                    );
+                    for ((slot, id, admitted_at, _), &(p, cached)) in
+                        valid.iter().zip(&outcome.results)
+                    {
+                        responses[*slot] = Some(predict_line(id, p, cached));
+                        stats.requests += 1;
+                        latency.observe_ns(admitted_at.elapsed());
                     }
+                    stats.cache_hits += outcome.hits;
+                    stats.cache_misses += valid.len() as u64 - outcome.hits;
+                    stats.predictions += outcome.predictions;
+                    stats.batches += outcome.batches;
                 }
             }
         }
@@ -917,11 +888,7 @@ impl Daemon {
                 .str("op", op)
         };
         match job.op {
-            Op::Load {
-                name,
-                path,
-                precision,
-            } => match self.registry.load_with_precision(&name, &path, precision) {
+            Op::Load { name, path } => match self.registry.load(&name, &path) {
                 Ok(v) => (
                     ack("load").str("model", &name).uint("version", v).finish(),
                     false,
@@ -1174,7 +1141,7 @@ mod tests {
                 let req = crate::request::parse_request_line(&model.artifact().schema, &line, 1)
                     .expect("valid request");
                 let refs = [&req];
-                let _ = predict_window(&model.compiled, &mut model.cache, 1, &refs);
+                predict_window(&model.compiled, &mut model.cache, 1, &refs);
             }
             Route::Quarantined { .. } => panic!("fresh load must be ready"),
         }

@@ -10,9 +10,9 @@
 //!    [`ServeConfig::window`] requests is checked against the LRU
 //!    surrogate cache ([`crate::cache`]); hits never touch the model.
 //! 3. **Batch predict** — cache misses are *deduplicated by canonical
-//!    key* (a window full of the same config costs one forward pass),
-//!    assembled into one prediction [`Table`], and run through the model
-//!    in matrix form, sharded across a scoped worker pool.
+//!    key* (a window full of the same config costs one forward pass)
+//!    and run through the compiled predictor in one pass, sharded
+//!    across a scoped worker pool.
 //! 4. **Ordered response** — predictions are written back by request
 //!    index, so output order equals input order and is byte-identical
 //!    for any worker count: sharding is by row range, every row's
@@ -161,19 +161,8 @@ impl Engine {
     /// Build an engine over a loaded artifact, compiling it into its
     /// topology-specialized f64 predictor.
     pub fn new(artifact: ModelArtifact, config: ServeConfig) -> Result<Engine> {
-        Self::with_precision(artifact, config, Precision::F64)
-    }
-
-    /// Build an engine serving at the given precision. [`Precision::F32`]
-    /// is verified against the f64 path at compile time and rejected
-    /// with a typed error if it exceeds the documented error bound.
-    pub fn with_precision(
-        artifact: ModelArtifact,
-        config: ServeConfig,
-        precision: Precision,
-    ) -> Result<Engine> {
         config.validated()?;
-        let model = compile_with(artifact, precision)?;
+        let model = compile_with(artifact, Precision::F64)?;
         let cache = LruCache::new(config.cache_cap);
         Ok(Engine {
             model,
@@ -199,7 +188,7 @@ impl Engine {
         latency: &mut Histogram,
     ) -> Result<()> {
         let requests: Vec<&Request> = window.iter().map(|adm| &adm.request).collect();
-        let outcome = predict_window(&self.model, &mut self.cache, self.config.workers, &requests)?;
+        let outcome = predict_window(&self.model, &mut self.cache, self.config.workers, &requests);
         stats.cache_hits += outcome.hits;
         stats.cache_misses += window.len() as u64 - outcome.hits;
         stats.predictions += outcome.predictions;
@@ -405,6 +394,52 @@ mod tests {
             out.contains(&format!("\"prediction\":{}", json::number(direct))),
             "{out}"
         );
+    }
+
+    /// Serving has one predict path per model. For an LR-B and an NN-E
+    /// artifact, every prediction a 1-worker replay emits is bit-equal
+    /// to the interpreted `TrainedModel::try_predict` over the batch
+    /// table, and to the same replay under the scalar kernels.
+    #[test]
+    fn replay_matches_interpreted_model_and_scalar_kernels_bitwise() {
+        for kind in [ModelKind::LrB, ModelKind::NnE] {
+            let art = artifact(kind);
+            let input =
+                crate::workload::generate_requests(&art.schema, 400, 100, 0x5E2).expect("workload");
+            let (out, _) = serve_jsonl(art.clone(), cfg(1), &input).expect("replay");
+            let (scalar, _) = simd::with_backend(simd::Backend::Scalar, || {
+                serve_jsonl(art.clone(), cfg(1), &input)
+            })
+            .expect("scalar-kernel replay");
+            assert_eq!(
+                out,
+                scalar,
+                "{}: scalar kernels changed the replay",
+                kind.abbrev()
+            );
+            let requests: Vec<Request> = input
+                .lines()
+                .enumerate()
+                .map(|(i, l)| parse_request_line(&art.schema, l, i as u64 + 1).expect("valid"))
+                .collect();
+            let refs: Vec<&Request> = requests.iter().collect();
+            let table = crate::request::batch_table(&art.schema, &refs);
+            let oracle = art.model.try_predict(&table).expect("interpreted predict");
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), oracle.len());
+            for (i, (line, want)) in lines.iter().zip(&oracle).enumerate() {
+                let got = json::parse(line)
+                    .ok()
+                    .and_then(|v| v.get("prediction").and_then(|p| p.as_f64()))
+                    .unwrap_or_else(|| panic!("no prediction in {line}"));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} request {i}: served {got} vs interpreted {want}",
+                    kind.abbrev()
+                );
+            }
+        }
     }
 
     #[test]

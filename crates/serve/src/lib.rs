@@ -38,7 +38,7 @@ pub mod workload;
 
 pub use admission::AdmissionQueue;
 pub use cache::LruCache;
-pub use compiled::{compile_with, CompiledModel, Precision, F32_REL_BOUND};
+pub use compiled::{compile_with, CompiledModel, Precision};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats};
 pub use engine::{serve_jsonl, Engine, ServeConfig, ServeStats};
 pub use registry::{Registry, RegistryConfig};

@@ -17,6 +17,7 @@
 
 use fault::{Error, Result};
 use mlmodels::artifact::{ColumnSchema, TableSchema};
+#[cfg(test)]
 use mlmodels::Table;
 use telemetry::json::{self, Value};
 
@@ -160,7 +161,10 @@ pub(crate) fn request_from_fields(
 
 /// Assemble a prediction [`Table`] from validated requests, in schema
 /// column order — the order the artifact's preprocessor addresses columns
-/// by. The target is a placeholder (predictions never read it).
+/// by. The target is a placeholder (predictions never read it). Serving
+/// predicts through `serve::compiled`; this table feeds the interpreted
+/// oracle the tests compare it with.
+#[cfg(test)]
 pub(crate) fn batch_table(schema: &TableSchema, requests: &[&Request]) -> Table {
     let n = requests.len();
     let mut table = Table::new();

@@ -121,6 +121,48 @@ fn corrupt_reload_of_only_model_terminates_with_exit_code_8() {
     );
 }
 
+/// A `load` frame's optional `precision` accepts only `"f64"`. Any other
+/// value is a typed malformed-frame error that registers nothing,
+/// never a load silently served in f64; `status` reports no precision.
+#[test]
+fn load_frame_rejects_precision_other_than_f64() {
+    let dir = tmpdir("load-frame");
+    let (reg, path) = reg_with_model(&dir);
+    let input = format!(
+        concat!(
+            "{{\"id\":\"l1\",\"op\":\"load\",\"model\":\"n\",\"path\":\"{p}\",\"precision\":\"f32\"}}\n",
+            "{{\"id\":\"l2\",\"op\":\"load\",\"model\":\"n\",\"path\":\"{p}\",\"precision\":\"f64\"}}\n",
+            "{{\"id\":\"l3\",\"op\":\"load\",\"model\":\"k\",\"path\":\"{p}\"}}\n",
+            "{{\"id\":\"s1\",\"op\":\"status\"}}\n",
+        ),
+        p = path
+    );
+    let (result, lines) = run_daemon(cfg(), reg, input.into_bytes());
+    let stats = result.expect("a rejected load frame never kills the daemon");
+    assert_eq!(lines.len(), 4, "one response per frame: {lines:?}");
+    assert!(
+        lines[0].contains("\"id\":\"l1\"")
+            && lines[0].contains("\"error\":\"invalid\"")
+            && lines[0].contains("unknown precision 'f32'"),
+        "{}",
+        lines[0]
+    );
+    for (line, id) in [(&lines[1], "l2"), (&lines[2], "l3")] {
+        assert!(
+            line.contains(&format!("\"id\":\"{id}\""))
+                && line.contains("\"ok\":true")
+                && line.contains("\"version\":1"),
+            "the rejected frame registered no version: {line}"
+        );
+    }
+    assert!(
+        lines[3].contains("\"op\":\"status\"") && !lines[3].contains("precision"),
+        "{}",
+        lines[3]
+    );
+    assert_eq!(stats.invalid, 1, "only the f32 frame is rejected");
+}
+
 /// An over-long frame is a protocol violation: typed `invalid` error,
 /// exit code 2. The daemon does not try to resynchronise mid-stream.
 #[test]

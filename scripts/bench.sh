@@ -15,12 +15,12 @@
 # Each BENCH_*.json is a JSON document:
 #   { "mode": "quick"|"full", "results": [ {bench, mean_ns, ...}, ... ] }
 # The per-bench records come verbatim from the compat criterion harness
-# (CRITERION_JSON_LINES); equivalence between the incremental/batched and
-# reference/scalar paths is asserted inside the bench binaries themselves
-# — nn additionally pins the AVX2 linalg kernels to the scalar oracle,
-# and serve pins the compiled specialized predictors to the interpreted
-# transform-then-predict path (PERFPREDICT_SERVE=interpreted) — so a
-# completed run certifies bit-identical answers, not just speed.
+# (CRITERION_JSON_LINES). Before timing, the bench binaries re-assert
+# the equivalences they rely on: selection's incremental drivers against
+# the from-scratch reference, nn's AVX2 matmul_tn kernel against the
+# scalar oracle, and serve's replay across worker counts. The remaining
+# bit-identity checks (batched vs scalar NN, compiled vs interpreted
+# serving) are unit tests, not bench pre-checks.
 # The dse bench also times the adaptive (query-by-committee) explorer
 # against its equal-budget random baseline (dse/adaptive_vs_random_quick),
 # so acquisition-loop regressions land in BENCH_dse.json.
